@@ -3,13 +3,11 @@
 //!
 //! The paper's NetFPGA deployment scales by replicating the service
 //! pipeline across parallel datapaths — §5.4 runs "four Emu cores (one
-//! per port)". Earlier revisions exposed that as a *second* API next to
-//! the single-instance one (`ServiceInstance` vs `ShardedEngine`); this
-//! module replaces both with one [`Engine`], configured through
-//! [`EngineBuilder`]:
+//! per port)". One [`Engine`], configured through [`EngineBuilder`],
+//! covers both a single pipeline and that scale-out:
 //!
 //! ```ignore
-//! // Single pipeline (the old `instantiate`):
+//! // Single pipeline:
 //! let mut one = svc.engine(Target::Fpga).build()?;
 //!
 //! // Four shards behind the RSS flow hash, executed on real threads:
@@ -20,23 +18,6 @@
 //!     .parallel(true)
 //!     .build()?;
 //! ```
-//!
-//! # Migration from the bifurcated API
-//!
-//! | old | new |
-//! |---|---|
-//! | `Service::instantiate(t)` | `svc.engine(t).build()` |
-//! | `Service::instantiate_sharded(t, n)` | `svc.engine(t).shards(n).build()` |
-//! | `ServiceInstance` | [`Engine`] (1 shard) |
-//! | `ShardedEngine` | [`Engine`] (N shards) |
-//! | `ServiceInstance::process_batch` → `BatchOutput` | [`Engine::process_batch`] → [`BatchReport`] |
-//! | `ShardedEngine::process_batch` → `ShardedBatch` | [`Engine::process_batch`] → [`BatchReport`] |
-//! | `ShardedEngine::shard_mut` → `&mut ServiceInstance` | [`Engine::shard_mut`] → `&mut` [`Shard`] |
-//! | `ServiceInstance::read_reg` / `env_mut` | [`Engine::read_reg`] / [`Engine::env_mut`] (shard 0) |
-//! | `ServiceInstance::into_fpga_parts` | [`Engine::into_fpga_parts`] (1-shard engines) |
-//! | `NetSim::add_service(name, &svc, ports)` | `NetSim::add_service(name, engine, ports)` |
-//! | `NetSim::add_service_sharded(..)` | build the engine with `.shards(n)`, then `add_service` |
-//! | `NetSim::service_mut` / `sharded_mut` | `NetSim::engine_mut` |
 //!
 //! # Dispatch policies
 //!
@@ -444,8 +425,8 @@ impl Shard {
     /// Reads a register by name (debug/verification convenience).
     pub fn read_reg(&self, name: &str) -> Option<Bits> {
         let prog = self.driver.program();
-        let idx = prog.var_by_name(name)?.0 as usize;
-        Some(self.driver.machine_state().vars[idx].clone())
+        let id = prog.var_by_name(name)?;
+        Some(self.driver.machine_state().var(id.0))
     }
 
     /// Writes a register by name, truncating `value` to the register's
@@ -453,15 +434,12 @@ impl Shard {
     /// such register. This is the configuration hook dispatch policies
     /// use at build time; mid-traffic writes are for fault injection.
     pub fn write_reg(&mut self, name: &str, value: u64) -> bool {
-        let meta = {
-            let prog = self.driver.program();
-            prog.var_by_name(name)
-                .and_then(|id| prog.var(id).map(|d| (id.0 as usize, d.width)))
-        };
-        let Some((idx, width)) = meta else {
+        let Some(id) = self.driver.program().var_by_name(name) else {
             return false;
         };
-        self.driver.machine_state_mut().vars[idx] = Bits::from_u64(value, width);
+        self.driver
+            .machine_state_mut()
+            .set_var(id.0, &Bits::from_u64(value, 64));
         true
     }
 
@@ -513,8 +491,7 @@ impl Service {
     /// Starts building an [`Engine`] for this service on `target`.
     ///
     /// The default configuration — one shard, [`RssHash`] dispatch,
-    /// sequential execution — is the exact single-pipeline fast path of
-    /// the old `instantiate`.
+    /// sequential execution — is the single-pipeline fast path.
     pub fn engine(&self, target: Target) -> EngineBuilder<'_> {
         EngineBuilder {
             service: self,

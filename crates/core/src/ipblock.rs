@@ -349,8 +349,8 @@ mod tests {
         env.attach(Box::new(CamModel::new("cam", 8, 48, 16, false)));
         rtl.run_cycles(50, &mut env, &mut NullObserver).unwrap();
         assert!(rtl.halted());
-        assert_eq!(rtl.state().vars[0].to_u64(), 1);
-        assert_eq!(rtl.state().vars[1].to_u64(), 321);
+        assert_eq!(rtl.state().regs[0], 1);
+        assert_eq!(rtl.state().regs[1], 321);
     }
 
     #[test]
@@ -372,7 +372,7 @@ mod tests {
         rtl.run_cycles(100, &mut env, &mut NullObserver).unwrap();
         assert!(rtl.halted());
         let expect = emu_types::checksum::pearson8_seeded(7, b"net");
-        assert_eq!(rtl.state().vars[0].to_u64(), u64::from(expect));
+        assert_eq!(rtl.state().regs[0], u64::from(expect));
     }
 
     #[test]
@@ -403,9 +403,9 @@ mod tests {
         rtl.run_cycles(200, &mut env, &mut NullObserver).unwrap();
         assert!(rtl.halted());
         let st = rtl.state();
-        assert_eq!(st.vars[0].to_u64(), 1, "k1 lookup must hit");
-        assert_eq!(st.vars[1].to_u64(), 0x11);
-        assert_eq!(st.vars[3].to_u64(), 1, "k3 lookup must hit");
-        assert_eq!(st.vars[4].to_u64(), 0x33);
+        assert_eq!(st.regs[0], 1, "k1 lookup must hit");
+        assert_eq!(st.regs[1], 0x11);
+        assert_eq!(st.regs[3], 1, "k3 lookup must hit");
+        assert_eq!(st.regs[4], 0x33);
     }
 }

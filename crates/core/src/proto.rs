@@ -512,11 +512,11 @@ mod tests {
         drv.process(&icmp_echo_request(), &mut NullEnv, &mut NullObserver)
             .unwrap();
         let st = drv.backend().state();
-        assert_eq!(st.vars[0].to_u64(), 4);
-        assert_eq!(st.vars[1].to_u64(), u64::from(ip_proto::ICMP));
-        assert_eq!(st.vars[2].to_u64(), 0x0a00_0001);
-        assert_eq!(st.vars[3].to_u64(), 0x0a00_0002);
-        assert_eq!(st.vars[4].to_u64(), 0);
+        assert_eq!(st.regs[0], 4);
+        assert_eq!(st.regs[1], u64::from(ip_proto::ICMP));
+        assert_eq!(st.regs[2], 0x0a00_0001);
+        assert_eq!(st.regs[3], 0x0a00_0002);
+        assert_eq!(st.regs[4], 0);
     }
 
     #[test]
@@ -566,8 +566,8 @@ mod tests {
         bytes[14 + 20 + 13] = 0x02; // SYN
         drv.process(&Frame::new(bytes), &mut NullEnv, &mut NullObserver)
             .unwrap();
-        assert_eq!(drv.backend().state().vars[0].to_u64(), 1);
-        assert_eq!(drv.backend().state().vars[1].to_u64(), 0);
+        assert_eq!(drv.backend().state().regs[0], 1);
+        assert_eq!(drv.backend().state().regs[1], 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! environment.
 
 use crate::packet::Opcode;
-use kiwi_ir::interp::{MachineState, Observer};
+use kiwi_ir::interp::{MachineState, Observer, RegValue};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -239,7 +239,7 @@ impl DirectionObserver {
 }
 
 impl Observer for DirectionObserver {
-    fn on_assign(&mut self, var: u32, old: &emu_types::Bits, new: &emu_types::Bits) {
+    fn on_assign(&mut self, var: u32, old: RegValue<'_>, new: RegValue<'_>) {
         *self.write_counts.entry(var).or_insert(0) += 1;
         if let Some(cond) = self.watches.get(&var) {
             let fire = cond.as_ref().is_none_or(|c| c.eval(new.to_u64()));
@@ -354,16 +354,8 @@ mod tests {
                 value: 5,
             }),
         );
-        obs.on_assign(
-            2,
-            &emu_types::Bits::from_u64(1, 32),
-            &emu_types::Bits::from_u64(3, 32),
-        );
-        obs.on_assign(
-            2,
-            &emu_types::Bits::from_u64(3, 32),
-            &emu_types::Bits::from_u64(9, 32),
-        );
+        obs.on_assign(2, RegValue::Narrow(1, 32), RegValue::Narrow(3, 32));
+        obs.on_assign(2, RegValue::Narrow(3, 32), RegValue::Narrow(9, 32));
         assert_eq!(obs.write_counts[&2], 2);
         assert_eq!(obs.watch_hits.len(), 1);
         assert_eq!(obs.watch_hits[0], (2, 3, 9));

@@ -10,7 +10,9 @@
 //! program** over explicit scratch-slot registers:
 //!
 //! * every `VarId` / `ArrId` / `SigId` is resolved to a plain index at
-//!   lowering time,
+//!   lowering time, and every register and array to its storage class
+//!   in [`MachineState`] (`u64` words up to 64 bits, [`Bits`] above), so
+//!   a load or store is one indexed word access with no class test,
 //! * every operand and result width is pre-computed, with the width rules
 //!   of [`crate::ast`] baked into per-op masks,
 //! * values of width ≤ 64 live in a `u64` scratch file (the fast path —
@@ -33,7 +35,7 @@
 
 use crate::ast::{BinOp, IrError, IrResult, UnOp};
 use crate::flat::{FlatProgram, FlatThread, Op};
-use crate::interp::{Env, MachineState, Observer};
+use crate::interp::{Env, MachineState, Observer, RegValue};
 use crate::program::{Program, SigDir};
 use emu_types::Bits;
 
@@ -152,7 +154,10 @@ pub(crate) fn shift_amount(n: u64) -> u32 {
 /// One pre-decoded micro-op.
 ///
 /// Naming convention: a trailing `S` operates on the small (`u64`)
-/// scratch file, `W` on the wide ([`Bits`]) file. `St*` / control ops are
+/// scratch file, `W` on the wide ([`Bits`]) file. Register and array
+/// loads and stores follow the location's storage class, so `LdVarS` /
+/// `StVarS` / `LdArr*S` / `StArr*S` touch only `u64` machine state and
+/// their `W` twins only [`Bits`] state. `St*` / control ops are
 /// *terminals* — each corresponds to exactly one source [`Op`], which is
 /// where the op budget and `ops_executed` are counted, keeping profiling
 /// and trap behaviour aligned with the tree-walker.
@@ -169,8 +174,9 @@ pub enum MOp {
     ConstW {
         /// Destination slot.
         dst: Slot,
-        /// The constant (carries its exact width).
-        v: Bits,
+        /// The constant (carries its exact width). Boxed, so a wide
+        /// constant does not size every micro-op.
+        v: Box<Bits>,
     },
     /// Read a register (width ≤ 64).
     LdVarS {
@@ -568,7 +574,8 @@ pub enum MOp {
         /// Else-value slot (wide).
         e: Slot,
     },
-    /// Terminal: register assignment from a small slot.
+    /// Terminal: assignment to a register of ≤ 64 bits from a small
+    /// slot, masked to the register width.
     StVarS {
         /// Register index.
         var: u32,
@@ -577,7 +584,7 @@ pub enum MOp {
         /// Register width.
         w: u16,
     },
-    /// Terminal: register assignment from a wide slot.
+    /// Terminal: assignment to a register of > 64 bits from a wide slot.
     StVarW {
         /// Register index.
         var: u32,
@@ -586,7 +593,8 @@ pub enum MOp {
         /// Register width.
         w: u16,
     },
-    /// Terminal: array element write from a small slot.
+    /// Terminal: write to an array of ≤ 64-bit elements from a small
+    /// slot, masked to the element width.
     StArrS {
         /// Array index.
         arr: u32,
@@ -597,7 +605,7 @@ pub enum MOp {
         /// Element width.
         w: u16,
     },
-    /// Terminal: array element write from a wide slot.
+    /// Terminal: write to an array of > 64-bit elements from a wide slot.
     StArrW {
         /// Array index.
         arr: u32,
@@ -1051,6 +1059,32 @@ impl<'a> ThreadCompiler<'a> {
         }
     }
 
+    /// `v` in a small slot, for a store to a location of width `w ≤ 64`:
+    /// a wide value is narrowed to `w` bits first.
+    fn small_class(&mut self, v: Val, w: u16) -> Slot {
+        if !v.wide {
+            return v.slot;
+        }
+        let dst = self.s();
+        self.push(MOp::Narrow {
+            dst,
+            a: v.slot,
+            mask: mask_of(w),
+        });
+        dst
+    }
+
+    /// `v` in a wide slot, for a store to a location of width `w > 64`:
+    /// a small value is widened to `w` bits first.
+    fn wide_class(&mut self, v: Val, w: u16) -> Slot {
+        if v.wide {
+            return v.slot;
+        }
+        let dst = self.w();
+        self.push(MOp::Widen { dst, a: v.slot, w });
+        dst
+    }
+
     /// The low 64 bits of `v` in a small slot (array indices and shift
     /// amounts, mirroring `eval`'s `to_u64()`).
     fn low64(&mut self, v: Val) -> Slot {
@@ -1091,7 +1125,10 @@ impl<'a> ThreadCompiler<'a> {
                     }
                 } else {
                     let dst = self.w();
-                    self.push(MOp::ConstW { dst, v: b.clone() });
+                    self.push(MOp::ConstW {
+                        dst,
+                        v: Box::new(b.clone()),
+                    });
                     Val {
                         slot: dst,
                         w,
@@ -1522,19 +1559,21 @@ impl<'a> ThreadCompiler<'a> {
                     .ok_or_else(|| IrError(format!("unknown var {dst:?}")))?
                     .width;
                 let v = self.expr(e)?;
-                self.push(if v.wide {
+                let var = dst.0;
+                let st = if w > 64 {
                     MOp::StVarW {
-                        var: dst.0,
-                        a: v.slot,
+                        var,
+                        a: self.wide_class(v, w),
                         w,
                     }
                 } else {
                     MOp::StVarS {
-                        var: dst.0,
-                        a: v.slot,
+                        var,
+                        a: self.small_class(v, w),
                         w,
                     }
-                });
+                };
+                self.push(st);
             }
             Op::ArrWrite(arr, idx, val) => {
                 let w = self
@@ -1545,21 +1584,22 @@ impl<'a> ThreadCompiler<'a> {
                 let iv = self.expr(idx)?;
                 let islot = self.low64(iv);
                 let v = self.expr(val)?;
-                self.push(if v.wide {
+                let st = if w > 64 {
                     MOp::StArrW {
                         arr: arr.0,
                         idx: islot,
-                        a: v.slot,
+                        a: self.wide_class(v, w),
                         w,
                     }
                 } else {
                     MOp::StArrS {
                         arr: arr.0,
                         idx: islot,
-                        a: v.slot,
+                        a: self.small_class(v, w),
                         w,
                     }
-                });
+                };
+                self.push(st);
             }
             Op::SigWrite(sig, e) => {
                 let w = self
@@ -2063,9 +2103,6 @@ impl CompiledMachine {
         Ok(n)
     }
 
-    // `budget` is deliberately decremented even by terminals that return
-    // (pause/halt), so op accounting matches the tree-walker exactly.
-    #[allow(unused_assignments)]
     fn run_thread_to_pause<O: Observer + ?Sized>(
         &mut self,
         ti: usize,
@@ -2091,32 +2128,37 @@ impl CompiledMachine {
         let mut budget = max_ops;
 
         // One budget unit per *terminal* (= one source op), so op counts
-        // and missing-pause traps match the tree-walker exactly.
+        // and missing-pause traps match the tree-walker exactly. The count
+        // stays in `budget` and reaches `ops_executed` only when the
+        // thread leaves (the trapping terminal counts too, as in the
+        // tree-walker), so terminals do no read-modify-write of memory.
         macro_rules! tick {
             () => {
-                *ops_executed += 1;
-                budget = budget.checked_sub(1).ok_or_else(|| {
-                    IrError(format!(
+                if budget == 0 {
+                    *ops_executed += max_ops + 1;
+                    return Err(IrError(format!(
                         "thread {} exceeded {} ops without pausing (missing pause()?)",
                         thread.name, max_ops
-                    ))
-                })?;
+                    )));
+                }
+                budget -= 1;
             };
         }
 
         loop {
             let Some(op) = mops.get(pc) else {
+                *ops_executed += max_ops - budget;
                 ctx.pc = pc;
                 ctx.halted = true;
                 return Ok(());
             };
             match op {
                 MOp::ConstS { dst, v } => small[*dst as usize] = *v,
-                MOp::ConstW { dst, v } => wide[*dst as usize] = v.clone(),
-                MOp::LdVarS { dst, var } => {
-                    small[*dst as usize] = state.vars[*var as usize].to_u64()
+                MOp::ConstW { dst, v } => wide[*dst as usize] = (**v).clone(),
+                MOp::LdVarS { dst, var } => small[*dst as usize] = state.regs[*var as usize],
+                MOp::LdVarW { dst, var } => {
+                    wide[*dst as usize] = state.wide_regs[state.wide_index(*var)].clone()
                 }
-                MOp::LdVarW { dst, var } => wide[*dst as usize] = state.vars[*var as usize].clone(),
                 MOp::LdSigS { dst, sig, out } => {
                     let sigs = if *out {
                         &state.sigs_out
@@ -2135,14 +2177,11 @@ impl CompiledMachine {
                 }
                 MOp::LdArrS { dst, arr, idx } => {
                     let i = small[*idx as usize] as usize;
-                    small[*dst as usize] = state.arrays[*arr as usize]
-                        .get(i)
-                        .map(|b| b.to_u64())
-                        .unwrap_or(0);
+                    small[*dst as usize] = state.arrays[*arr as usize].get(i).copied().unwrap_or(0);
                 }
                 MOp::LdArrW { dst, arr, idx, w } => {
                     let i = small[*idx as usize] as usize;
-                    wide[*dst as usize] = state.arrays[*arr as usize]
+                    wide[*dst as usize] = state.wide_arrays[*arr as usize]
                         .get(i)
                         .cloned()
                         .unwrap_or_else(|| Bits::zero(*w));
@@ -2150,10 +2189,10 @@ impl CompiledMachine {
                 // Const-index loads are proven in bounds at compile
                 // time (array lengths are fixed at declaration).
                 MOp::LdArrCS { dst, arr, idx } => {
-                    small[*dst as usize] = state.arrays[*arr as usize][*idx as usize].to_u64()
+                    small[*dst as usize] = state.arrays[*arr as usize][*idx as usize]
                 }
                 MOp::LdArrCW { dst, arr, idx } => {
-                    wide[*dst as usize] = state.arrays[*arr as usize][*idx as usize].clone()
+                    wide[*dst as usize] = state.wide_arrays[*arr as usize][*idx as usize].clone()
                 }
                 MOp::LdArrPairS {
                     dst,
@@ -2165,15 +2204,15 @@ impl CompiledMachine {
                 } => {
                     let a = &state.arrays[*arr as usize];
                     let i = small[*idx as usize].wrapping_add(*off) & mask;
-                    let hi = a.get(i as usize).map(|b| b.to_u64()).unwrap_or(0);
+                    let hi = a.get(i as usize).copied().unwrap_or(0);
                     let j = i.wrapping_add(1) & mask;
-                    let lo = a.get(j as usize).map(|b| b.to_u64()).unwrap_or(0);
+                    let lo = a.get(j as usize).copied().unwrap_or(0);
                     small[*dst as usize] = (hi << bw) | lo;
                 }
                 MOp::LdArrPairCS { dst, arr, idx, bw } => {
                     let a = &state.arrays[*arr as usize];
                     let i = *idx as usize;
-                    small[*dst as usize] = (a[i].to_u64() << bw) | a[i + 1].to_u64();
+                    small[*dst as usize] = (a[i] << bw) | a[i + 1];
                 }
                 MOp::ConcatLdS {
                     dst,
@@ -2184,7 +2223,7 @@ impl CompiledMachine {
                 } => {
                     let lo = state.arrays[*arr as usize]
                         .get(small[*idx as usize] as usize)
-                        .map(|b| b.to_u64())
+                        .copied()
                         .unwrap_or(0);
                     small[*dst as usize] = (small[*a as usize] << bw) | lo;
                 }
@@ -2195,8 +2234,8 @@ impl CompiledMachine {
                     idx,
                     bw,
                 } => {
-                    small[*dst as usize] = (small[*a as usize] << bw)
-                        | state.arrays[*arr as usize][*idx as usize].to_u64();
+                    small[*dst as usize] =
+                        (small[*a as usize] << bw) | state.arrays[*arr as usize][*idx as usize];
                 }
                 MOp::CopyS { dst, a } => small[*dst as usize] = small[*a as usize],
                 MOp::CopyW { dst, a } => wide[*dst as usize] = wide[*a as usize].clone(),
@@ -2279,24 +2318,25 @@ impl CompiledMachine {
                 }
                 MOp::StVarS { var, a, w } => {
                     tick!();
-                    let new = Bits::from_u64(small[*a as usize], *w);
-                    let i = *var as usize;
-                    obs.on_assign(*var, &state.vars[i], &new);
-                    state.vars[i] = new;
+                    let new = small[*a as usize] & mask_of(*w);
+                    let slot = &mut state.regs[*var as usize];
+                    obs.on_assign(*var, RegValue::Narrow(*slot, *w), RegValue::Narrow(new, *w));
+                    *slot = new;
                 }
                 MOp::StVarW { var, a, w } => {
                     tick!();
                     let new = wide[*a as usize].resize(*w);
-                    let i = *var as usize;
-                    obs.on_assign(*var, &state.vars[i], &new);
-                    state.vars[i] = new;
+                    let wi = state.wide_index(*var);
+                    let slot = &mut state.wide_regs[wi];
+                    obs.on_assign(*var, RegValue::Wide(slot), RegValue::Wide(&new));
+                    *slot = new;
                 }
                 MOp::StArrS { arr, idx, a, w } => {
                     tick!();
                     let i = small[*idx as usize] as usize;
                     let ai = *arr as usize;
-                    if i < state.arrays[ai].len() {
-                        state.arrays[ai][i] = Bits::from_u64(small[*a as usize], *w);
+                    if let Some(slot) = state.arrays[ai].get_mut(i) {
+                        *slot = small[*a as usize] & mask_of(*w);
                         state.note_arr_write(ai, i);
                     }
                 }
@@ -2305,21 +2345,21 @@ impl CompiledMachine {
                 MOp::StArrCS { arr, idx, a, w } => {
                     tick!();
                     let (ai, i) = (*arr as usize, *idx as usize);
-                    state.arrays[ai][i] = Bits::from_u64(small[*a as usize], *w);
+                    state.arrays[ai][i] = small[*a as usize] & mask_of(*w);
                     state.note_arr_write(ai, i);
                 }
                 MOp::StArrCW { arr, idx, a, w } => {
                     tick!();
                     let (ai, i) = (*arr as usize, *idx as usize);
-                    state.arrays[ai][i] = wide[*a as usize].resize(*w);
+                    state.wide_arrays[ai][i] = wide[*a as usize].resize(*w);
                     state.note_arr_write(ai, i);
                 }
                 MOp::StArrW { arr, idx, a, w } => {
                     tick!();
                     let i = small[*idx as usize] as usize;
                     let ai = *arr as usize;
-                    if i < state.arrays[ai].len() {
-                        state.arrays[ai][i] = wide[*a as usize].resize(*w);
+                    if let Some(slot) = state.wide_arrays[ai].get_mut(i) {
+                        *slot = wide[*a as usize].resize(*w);
                         state.note_arr_write(ai, i);
                     }
                 }
@@ -2345,6 +2385,7 @@ impl CompiledMachine {
                 }
                 MOp::PauseOp => {
                     tick!();
+                    *ops_executed += max_ops - budget;
                     ctx.pc = pc + 1;
                     return Ok(());
                 }
@@ -2358,6 +2399,7 @@ impl CompiledMachine {
                 }
                 MOp::HaltOp => {
                     tick!();
+                    *ops_executed += max_ops - budget;
                     ctx.pc = pc;
                     ctx.halted = true;
                     return Ok(());
@@ -2399,8 +2441,16 @@ mod tests {
             }
             tw.step_cycle(&mut NullEnv, &mut NullObserver).unwrap();
             cm.step_cycle(&mut NullEnv, &mut NullObserver).unwrap();
-            assert_eq!(tw.state().vars, cm.state().vars, "vars diverged");
-            assert_eq!(tw.state().arrays, cm.state().arrays, "arrays diverged");
+            assert_eq!(
+                (&tw.state().regs, &tw.state().wide_regs),
+                (&cm.state().regs, &cm.state().wide_regs),
+                "vars diverged"
+            );
+            assert_eq!(
+                (&tw.state().arrays, &tw.state().wide_arrays),
+                (&cm.state().arrays, &cm.state().wide_arrays),
+                "arrays diverged"
+            );
             assert_eq!(tw.state().sigs_out, cm.state().sigs_out, "sigs diverged");
             assert_eq!(
                 tw.state().arr_high,
@@ -2423,7 +2473,7 @@ mod tests {
         );
         let mut m = compiled(&pb);
         m.run_cycles(10, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(m.state().vars[0].to_u64(), 10);
+        assert_eq!(m.state().regs[0], 10);
         assert_eq!(m.cycle(), 10);
         assert_lockstep(&pb, 10);
     }
@@ -2445,7 +2495,7 @@ mod tests {
         );
         let mut m = compiled(&pb);
         m.run_cycles(5, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(m.state().vars[0].to_u64(), 0xbeef);
+        assert_eq!(m.state().regs[0], 0xbeef);
         assert_eq!(m.state().arr_high[0], 3, "high-water lifted by slot 2");
         assert_lockstep(&pb, 5);
     }
@@ -2495,10 +2545,13 @@ mod tests {
         let (mut tw, mut cm) = both(&pb);
         tw.run_cycles(5, &mut NullEnv, &mut NullObserver).unwrap();
         cm.run_cycles(5, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(tw.state().vars, cm.state().vars);
-        assert_eq!(cm.state().vars[0].to_u64(), 0);
-        assert_eq!(cm.state().vars[1].to_u64(), 0x200);
-        assert_eq!(cm.state().vars[2].to_u64(), 0);
+        assert_eq!(
+            (&tw.state().regs, &tw.state().wide_regs),
+            (&cm.state().regs, &cm.state().wide_regs)
+        );
+        assert_eq!(cm.state().regs[0], 0);
+        assert_eq!(cm.state().regs[1], 0x200);
+        assert_eq!(cm.state().regs[2], 0);
     }
 
     #[test]
@@ -2529,7 +2582,7 @@ mod tests {
             .unwrap();
         assert_eq!(m.state().sigs_out[1].to_u64(), 7);
         assert!(m.cycle() >= 3);
-        assert!(m.state().vars[0].to_u64() >= 6);
+        assert!(m.state().regs[0] >= 6);
     }
 
     #[test]
@@ -2541,7 +2594,7 @@ mod tests {
             exts: Vec<u32>,
         }
         impl Observer for Trace {
-            fn on_assign(&mut self, v: u32, _o: &Bits, n: &Bits) {
+            fn on_assign(&mut self, v: u32, _o: RegValue<'_>, n: RegValue<'_>) {
                 self.assigns.push((v, n.to_u64()));
             }
             fn on_label(&mut self, n: &str) {
@@ -2590,6 +2643,12 @@ mod tests {
         let e1 = tw.step_cycle(&mut NullEnv, &mut NullObserver).unwrap_err();
         let e2 = cm.step_cycle(&mut NullEnv, &mut NullObserver).unwrap_err();
         assert_eq!(e1, e2, "trap messages must match");
+        assert_eq!(
+            tw.ops_executed(),
+            cm.ops_executed(),
+            "op counts at the trap"
+        );
+        assert_eq!(cm.ops_executed(), 1001, "the trapping op counts too");
     }
 
     #[test]

@@ -21,43 +21,135 @@ use crate::flat::{FlatProgram, Op};
 use crate::program::{Program, SigDir};
 use emu_types::Bits;
 
+/// A register value as an [`Observer`] sees it: a register of 64 bits
+/// or fewer passes its word and width, a wider one a reference to its
+/// [`Bits`]. Narrow stores therefore reach the observer without building
+/// a `Bits`.
+#[derive(Debug, Clone, Copy)]
+pub enum RegValue<'a> {
+    /// A register of 64 bits or fewer: its canonical value and width.
+    Narrow(u64, u16),
+    /// A register wider than 64 bits.
+    Wide(&'a Bits),
+}
+
+impl<'a> RegValue<'a> {
+    /// Views `v` in the storage class its width selects.
+    pub(crate) fn of(v: &'a Bits) -> Self {
+        if v.width() <= 64 {
+            RegValue::Narrow(v.to_u64(), v.width())
+        } else {
+            RegValue::Wide(v)
+        }
+    }
+
+    /// Low 64 bits of the value.
+    pub fn to_u64(self) -> u64 {
+        match self {
+            RegValue::Narrow(v, _) => v,
+            RegValue::Wide(b) => b.to_u64(),
+        }
+    }
+
+    /// The value as a [`Bits`] of the register's width.
+    pub fn to_bits(self) -> Bits {
+        match self {
+            RegValue::Narrow(v, w) => Bits::from_u64(v, w),
+            RegValue::Wide(b) => b.clone(),
+        }
+    }
+}
+
 /// Mutable machine state shared with the environment between cycles.
+///
+/// Storage is classed by width, as Emu keeps values in native 64-bit
+/// words and uses wide user types only for wider fields (§3.2(iv)):
+///
+/// * registers and array elements of 64 bits or fewer are plain `u64`
+///   words, canonical (bits above the declared width are zero);
+/// * registers and array elements wider than that are [`Bits`];
+/// * signals stay [`Bits`]: the IP-block models speak it, and there are
+///   few of them.
+///
+/// An array's class follows its element width, so the 8-bit frame buffer
+/// is a `Vec<u64>` and frame DMA is a plain copy. Every execution backend
+/// resolves a register or array to its class from its declared width;
+/// the compiled backend does so at lowering time, so its hot loop never
+/// branches on class. [`MachineState::var`] and [`MachineState::set_var`]
+/// give a class-blind view in [`Bits`] for drivers, tools and tests.
 #[derive(Debug, Clone)]
 pub struct MachineState {
-    /// Register values, indexed by `VarId`.
-    pub vars: Vec<Bits>,
-    /// Array contents, indexed by `ArrId`.
-    pub arrays: Vec<Vec<Bits>>,
+    /// Registers of 64 bits or fewer, indexed by `VarId`. The entry of a
+    /// wider register is unused and stays zero.
+    pub regs: Vec<u64>,
+    /// Registers wider than 64 bits, in declaration order.
+    pub wide_regs: Vec<Bits>,
+    /// Arrays with elements of 64 bits or fewer, indexed by `ArrId`. The
+    /// entry of an array with wider elements is empty.
+    pub arrays: Vec<Vec<u64>>,
+    /// Arrays with elements wider than 64 bits, indexed by `ArrId`. The
+    /// entry of an array with narrow elements is empty.
+    pub wide_arrays: Vec<Vec<Bits>>,
     /// Latched input-signal values, indexed by `SigId` (entries for output
     /// signals are unused). The environment writes these in [`Env::tick`].
     pub sigs_in: Vec<Bits>,
     /// Current output-signal values, indexed by `SigId`.
     pub sigs_out: Vec<Bits>,
     /// Per-array write high-water mark, indexed by `ArrId`: one past the
-    /// highest slot that may differ from zero. Both execution backends
-    /// bump this on every `ArrWrite`; platform drivers use it to bound
-    /// how much of a buffer they must re-initialize between frames (the
-    /// batch fast path), and reset it after re-filling a prefix.
+    /// highest slot that may differ from zero. Every execution backend
+    /// bumps this on every array store; platform drivers use it to bound
+    /// how much of a buffer they must re-zero between frames, and reset
+    /// it after re-filling a prefix.
     pub arr_high: Vec<usize>,
+    /// Declared width of each register, indexed by `VarId`.
+    reg_width: Vec<u16>,
+    /// Index into `wide_regs` of each register wider than 64 bits,
+    /// indexed by `VarId` (zero, and unused, for narrow registers).
+    wide_slot: Vec<u32>,
 }
 
 impl MachineState {
     /// Builds the reset state for `prog`: registers and output signals at
     /// their declared init values, arrays loaded with their initializers.
     pub fn init(prog: &Program) -> Self {
+        let mut regs = Vec::with_capacity(prog.vars().len());
+        let mut wide_regs = Vec::new();
+        let mut wide_slot = Vec::with_capacity(prog.vars().len());
+        for v in prog.vars() {
+            let init = v.init.resize(v.width);
+            if v.width <= 64 {
+                regs.push(init.to_u64());
+                wide_slot.push(0);
+            } else {
+                regs.push(0);
+                wide_slot.push(wide_regs.len() as u32);
+                wide_regs.push(init);
+            }
+        }
+        let (mut arrays, mut wide_arrays) = (Vec::new(), Vec::new());
+        for a in prog.arrays() {
+            let w = a.elem_width;
+            if w <= 64 {
+                let mut data = vec![0u64; a.len];
+                for (i, v) in &a.init {
+                    data[*i] = v.resize(w).to_u64();
+                }
+                arrays.push(data);
+                wide_arrays.push(Vec::new());
+            } else {
+                let mut data = vec![Bits::zero(w); a.len];
+                for (i, v) in &a.init {
+                    data[*i] = v.resize(w);
+                }
+                arrays.push(Vec::new());
+                wide_arrays.push(data);
+            }
+        }
         MachineState {
-            vars: prog.vars().iter().map(|v| v.init.clone()).collect(),
-            arrays: prog
-                .arrays()
-                .iter()
-                .map(|a| {
-                    let mut data = vec![Bits::zero(a.elem_width); a.len];
-                    for (i, v) in &a.init {
-                        data[*i] = v.resize(a.elem_width);
-                    }
-                    data
-                })
-                .collect(),
+            regs,
+            wide_regs,
+            arrays,
+            wide_arrays,
             arr_high: prog
                 .arrays()
                 .iter()
@@ -65,6 +157,80 @@ impl MachineState {
                 .collect(),
             sigs_in: prog.signals().iter().map(|s| Bits::zero(s.width)).collect(),
             sigs_out: prog.signals().iter().map(|s| s.init.clone()).collect(),
+            reg_width: prog.vars().iter().map(|v| v.width).collect(),
+            wide_slot,
+        }
+    }
+
+    /// Index into [`MachineState::wide_regs`] of register `id`, which
+    /// must be wider than 64 bits.
+    #[inline]
+    pub(crate) fn wide_index(&self, id: u32) -> usize {
+        self.wide_slot[id as usize] as usize
+    }
+
+    /// Register `id` in its storage class.
+    #[inline]
+    pub(crate) fn reg_value(&self, id: u32) -> RegValue<'_> {
+        let w = self.reg_width[id as usize];
+        if w <= 64 {
+            RegValue::Narrow(self.regs[id as usize], w)
+        } else {
+            RegValue::Wide(&self.wide_regs[self.wide_index(id)])
+        }
+    }
+
+    /// Reads register `id` as a [`Bits`] of its declared width.
+    pub fn var(&self, id: u32) -> Bits {
+        self.reg_value(id).to_bits()
+    }
+
+    /// Writes register `id`, truncating or zero-extending `v` to the
+    /// register's declared width.
+    pub fn set_var(&mut self, id: u32, v: &Bits) {
+        let w = self.reg_width[id as usize];
+        if w <= 64 {
+            self.regs[id as usize] = v.resize(w).to_u64();
+        } else {
+            let i = self.wide_index(id);
+            self.wide_regs[i] = v.resize(w);
+        }
+    }
+
+    /// Assigns `v` to register `id` as a program statement does: reports
+    /// the old and new values to `obs`, then stores `v` resized to the
+    /// register's width.
+    pub fn assign<O: Observer + ?Sized>(&mut self, id: u32, v: &Bits, obs: &mut O) {
+        let v = v.resize(self.reg_width[id as usize]);
+        obs.on_assign(id, self.reg_value(id), RegValue::of(&v));
+        self.set_var(id, &v);
+    }
+
+    /// Reads slot `i` of array `arr` (element width `w`) as a [`Bits`];
+    /// out-of-range reads are zero.
+    pub fn arr_read(&self, arr: u32, i: usize, w: u16) -> Bits {
+        if w <= 64 {
+            Bits::from_u64(self.arrays[arr as usize].get(i).copied().unwrap_or(0), w)
+        } else {
+            self.wide_arrays[arr as usize]
+                .get(i)
+                .cloned()
+                .unwrap_or_else(|| Bits::zero(w))
+        }
+    }
+
+    /// Writes `v`, resized to the element width `w`, to slot `i` of array
+    /// `arr` as a program statement does: out-of-range writes are
+    /// dropped, and in-range ones lift the high-water mark.
+    pub fn arr_write(&mut self, arr: u32, i: usize, v: &Bits, w: u16) {
+        let a = arr as usize;
+        let stored = if w <= 64 {
+            self.arrays[a].get_mut(i).map(|s| *s = v.resize(w).to_u64())
+        } else {
+            self.wide_arrays[a].get_mut(i).map(|s| *s = v.resize(w))
+        };
+        if stored.is_some() {
+            self.note_arr_write(a, i);
         }
     }
 
@@ -121,7 +287,7 @@ impl Env for NullEnv {
 /// Observer hooks used by the debug tooling on the software target.
 pub trait Observer {
     /// A register was assigned.
-    fn on_assign(&mut self, _var: u32, _old: &Bits, _new: &Bits) {}
+    fn on_assign(&mut self, _var: u32, _old: RegValue<'_>, _new: RegValue<'_>) {}
     /// A label was crossed.
     fn on_label(&mut self, _name: &str) {}
     /// An extension point was crossed.
@@ -263,22 +429,15 @@ impl Machine {
             })?;
             match op {
                 Op::Assign(dst, e) => {
-                    let w = prog.var(*dst).expect("validated").width;
-                    let v = eval(e, prog, state).resize(w);
-                    obs.on_assign(dst.0, &state.vars[dst.0 as usize], &v);
-                    state.vars[dst.0 as usize] = v;
+                    let v = eval(e, prog, state);
+                    state.assign(dst.0, &v, obs);
                     ctx.pc = pc + 1;
                 }
                 Op::ArrWrite(arr, idx, val) => {
-                    let decl = prog.array(*arr).expect("validated");
-                    let w = decl.elem_width;
+                    let w = prog.array(*arr).expect("validated").elem_width;
                     let i = eval(idx, prog, state).to_u64() as usize;
-                    let v = eval(val, prog, state).resize(w);
-                    let data = &mut state.arrays[arr.0 as usize];
-                    if i < data.len() {
-                        data[i] = v;
-                        state.note_arr_write(arr.0 as usize, i);
-                    }
+                    let v = eval(val, prog, state);
+                    state.arr_write(arr.0, i, &v, w);
                     ctx.pc = pc + 1;
                 }
                 Op::SigWrite(sig, val) => {
@@ -323,14 +482,11 @@ impl Machine {
 pub fn eval(e: &Expr, prog: &Program, st: &MachineState) -> Bits {
     match e {
         Expr::Const(b) => b.clone(),
-        Expr::Var(v) => st.vars[v.0 as usize].clone(),
+        Expr::Var(v) => st.var(v.0),
         Expr::ArrRead(a, idx) => {
-            let decl = prog.array(*a).expect("validated");
+            let w = prog.array(*a).expect("validated").elem_width;
             let i = eval(idx, prog, st).to_u64() as usize;
-            st.arrays[a.0 as usize]
-                .get(i)
-                .cloned()
-                .unwrap_or_else(|| Bits::zero(decl.elem_width))
+            st.arr_read(a.0, i, w)
         }
         Expr::SigRead(s) => {
             let decl = prog.signal(*s).expect("validated");
@@ -414,7 +570,7 @@ mod tests {
         );
         let mut m = machine(pb);
         m.run_cycles(10, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(m.state().vars[0].to_u64(), 10);
+        assert_eq!(m.state().regs[0], 10);
         assert_eq!(m.cycle(), 10);
     }
 
@@ -427,7 +583,7 @@ mod tests {
         let ran = m.run_cycles(100, &mut NullEnv, &mut NullObserver).unwrap();
         assert!(m.halted());
         assert!(ran <= 2);
-        assert_eq!(m.state().vars[0].to_u64(), 42);
+        assert_eq!(m.state().regs[0], 42);
     }
 
     #[test]
@@ -460,8 +616,8 @@ mod tests {
         );
         let mut m = machine(pb);
         m.run_cycles(5, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(m.state().vars[0].to_u64(), 0xbeef);
-        assert!(m.state().arrays[0].iter().all(|b| b.to_u64() != 0xdead));
+        assert_eq!(m.state().regs[0], 0xbeef);
+        assert!(m.state().arrays[0].iter().all(|&b| b != 0xdead));
     }
 
     #[test]
@@ -479,7 +635,7 @@ mod tests {
         );
         let mut m = machine(pb);
         m.run_cycles(5, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(m.state().vars[0].to_u64(), 0);
+        assert_eq!(m.state().regs[0], 0);
     }
 
     #[test]
@@ -526,8 +682,8 @@ mod tests {
         );
         let mut m = machine(pb);
         m.run_cycles(5, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(m.state().vars[0].to_u64(), 5);
-        assert_eq!(m.state().vars[1].to_u64(), 10);
+        assert_eq!(m.state().regs[0], 5);
+        assert_eq!(m.state().regs[1], 10);
     }
 
     #[test]
@@ -539,7 +695,7 @@ mod tests {
             exts: Vec<u32>,
         }
         impl Observer for Spy {
-            fn on_assign(&mut self, _v: u32, _o: &Bits, _n: &Bits) {
+            fn on_assign(&mut self, _v: u32, _o: RegValue<'_>, _n: RegValue<'_>) {
                 self.assigns += 1;
             }
             fn on_label(&mut self, n: &str) {
@@ -578,7 +734,7 @@ mod tests {
         );
         let mut m = machine(pb);
         m.run_cycles(3, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(m.state().vars[1].to_u64(), 1);
+        assert_eq!(m.state().regs[1], 1);
     }
 
     #[test]
@@ -596,7 +752,7 @@ mod tests {
         );
         let mut m = machine(pb);
         m.run_cycles(3, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(m.state().vars[0].to_u64(), 0xff);
-        assert_eq!(m.state().vars[1].to_u64(), 1);
+        assert_eq!(m.state().regs[0], 0xff);
+        assert_eq!(m.state().regs[1], 1);
     }
 }

@@ -435,11 +435,11 @@ fn const_fold(region: &mut [MOp]) {
             MOp::CopyS { dst, a } => s(a).map(|v| MOp::ConstS { dst: *dst, v }),
             MOp::CopyW { dst, a } => w(a).map(|v| MOp::ConstW {
                 dst: *dst,
-                v: v.clone(),
+                v: Box::new(v.clone()),
             }),
             MOp::Widen { dst, a, w: width } => s(a).map(|v| MOp::ConstW {
                 dst: *dst,
-                v: Bits::from_u64(v, *width),
+                v: Box::new(Bits::from_u64(v, *width)),
             }),
             MOp::Narrow { dst, a, mask } => w(a).map(|v| MOp::ConstS {
                 dst: *dst,
@@ -451,7 +451,7 @@ fn const_fold(region: &mut [MOp]) {
             }),
             MOp::ResizeW { dst, a, w: width } => w(a).map(|v| MOp::ConstW {
                 dst: *dst,
-                v: v.resize(*width),
+                v: Box::new(v.resize(*width)),
             }),
             MOp::NotS { dst, a, mask } => s(a).map(|v| MOp::ConstS {
                 dst: *dst,
@@ -467,11 +467,11 @@ fn const_fold(region: &mut [MOp]) {
             }),
             MOp::NotW { dst, a } => w(a).map(|v| MOp::ConstW {
                 dst: *dst,
-                v: v.not(),
+                v: Box::new(v.not()),
             }),
             MOp::NegW { dst, a } => w(a).map(|v| MOp::ConstW {
                 dst: *dst,
-                v: Bits::zero(v.width()).wrapping_sub(v),
+                v: Box::new(Bits::zero(v.width()).wrapping_sub(v)),
             }),
             MOp::RedOrW { dst, a } => w(a).map(|v| MOp::ConstS {
                 dst: *dst,
@@ -513,11 +513,11 @@ fn const_fold(region: &mut [MOp]) {
             }),
             MOp::SliceW { dst, a, hi, lo } => w(a).map(|v| MOp::ConstW {
                 dst: *dst,
-                v: v.slice(*hi, *lo),
+                v: Box::new(v.slice(*hi, *lo)),
             }),
             MOp::BinW { dst, op, a, b } => w(a).zip(w(b)).map(|(x, y)| MOp::ConstW {
                 dst: *dst,
-                v: bin_w(*op, x, y),
+                v: Box::new(bin_w(*op, x, y)),
             }),
             MOp::CmpW { dst, op, a, b } => w(a).zip(w(b)).map(|(x, y)| MOp::ConstS {
                 dst: *dst,
@@ -525,15 +525,15 @@ fn const_fold(region: &mut [MOp]) {
             }),
             MOp::ShlW { dst, a, b } => w(a).zip(s(b).as_ref()).map(|(x, n)| MOp::ConstW {
                 dst: *dst,
-                v: x.shl(shift_amount(*n)),
+                v: Box::new(x.shl(shift_amount(*n))),
             }),
             MOp::ShrW { dst, a, b } => w(a).zip(s(b).as_ref()).map(|(x, n)| MOp::ConstW {
                 dst: *dst,
-                v: x.shr(shift_amount(*n)),
+                v: Box::new(x.shr(shift_amount(*n))),
             }),
             MOp::ConcatW { dst, a, b } => w(a).zip(w(b)).map(|(x, y)| MOp::ConstW {
                 dst: *dst,
-                v: x.concat(y),
+                v: Box::new(x.concat(y)),
             }),
             MOp::MuxS { dst, c, t, e } => {
                 s(c).zip(s(t).zip(s(e))).map(|(cv, (tv, ev))| MOp::ConstS {
@@ -544,7 +544,7 @@ fn const_fold(region: &mut [MOp]) {
             MOp::MuxW { dst, c, t, e } => {
                 s(c).zip(w(t).zip(w(e))).map(|(cv, (tv, ev))| MOp::ConstW {
                     dst: *dst,
-                    v: if cv != 0 { tv.clone() } else { ev.clone() },
+                    v: Box::new(if cv != 0 { tv.clone() } else { ev.clone() }),
                 })
             }
             _ => None,
@@ -557,7 +557,7 @@ fn const_fold(region: &mut [MOp]) {
                 sc.insert(*dst, *v);
             }
             MOp::ConstW { dst, v } => {
-                wc.insert(*dst, v.clone());
+                wc.insert(*dst, (**v).clone());
             }
             _ => {}
         }
@@ -707,7 +707,7 @@ fn array_strength(region: &mut [MOp], prog: &Program) {
                 } else {
                     MOp::ConstW {
                         dst: *dst,
-                        v: Bits::zero(*w),
+                        v: Box::new(Bits::zero(*w)),
                     }
                 }
             }),
@@ -1518,8 +1518,14 @@ mod tests {
         let mut cm = CompiledMachine::new(lower(pb, default_pipeline()));
         cm.run_cycles(cycles, &mut NullEnv, &mut NullObserver)
             .unwrap();
-        assert_eq!(tw.state().vars, cm.state().vars);
-        assert_eq!(tw.state().arrays, cm.state().arrays);
+        assert_eq!(
+            (&tw.state().regs, &tw.state().wide_regs),
+            (&cm.state().regs, &cm.state().wide_regs)
+        );
+        assert_eq!(
+            (&tw.state().arrays, &tw.state().wide_arrays),
+            (&cm.state().arrays, &cm.state().wide_arrays)
+        );
         assert_eq!(tw.state().sigs_out, cm.state().sigs_out);
     }
 
@@ -1574,7 +1580,7 @@ mod tests {
         let mut cm =
             crate::compile::CompiledMachine::new(lower(&pb, &[Pass::ConstFold, Pass::DeadScratch]));
         cm.run_cycles(3, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(tw.state().vars[0], cm.state().vars[0]);
+        assert_eq!(tw.state().var(0), cm.state().var(0));
     }
 
     #[test]
@@ -1612,9 +1618,9 @@ mod tests {
         assert!(text.contains(">> 8 & 0xf"), "merged shift of 4+4:\n{text}");
         // And it still computes the right value.
         let mut cm = crate::compile::CompiledMachine::new(opt);
-        cm.state_mut().vars[0] = emu_types::Bits::from_u64(0xabcd, 16);
+        cm.state_mut().regs[0] = 0xabcd;
         cm.run_cycles(3, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(cm.state().vars[1].to_u64(), 0xb);
+        assert_eq!(cm.state().regs[1], 0xb);
     }
 
     #[test]
@@ -1639,9 +1645,9 @@ mod tests {
         // both agree with the tree-walker.
         for passes in [&[][..], default_pipeline()] {
             let mut cm = crate::compile::CompiledMachine::new(lower(&resize_tower(), passes));
-            cm.state_mut().vars[0] = emu_types::Bits::from_u64(0xfe, 8);
+            cm.state_mut().regs[0] = 0xfe;
             cm.run_cycles(3, &mut NullEnv, &mut NullObserver).unwrap();
-            assert_eq!(cm.state().vars[0].to_u64(), 0xff);
+            assert_eq!(cm.state().regs[0], 0xff);
         }
     }
 
@@ -1774,7 +1780,7 @@ mod tests {
         assert_lockstep(&pb, 3);
         let mut cm = CompiledMachine::new(lower(&pb, default_pipeline()));
         cm.run_cycles(3, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(cm.state().vars[2].to_u64(), 10);
+        assert_eq!(cm.state().regs[2], 10);
     }
 
     #[test]
@@ -1801,8 +1807,11 @@ mod tests {
         tw.run_cycles(4, &mut SigTick, &mut NullObserver).unwrap();
         let mut cm = CompiledMachine::new(lower(&pb, default_pipeline()));
         cm.run_cycles(4, &mut SigTick, &mut NullObserver).unwrap();
-        assert_eq!(tw.state().vars, cm.state().vars);
-        assert_ne!(cm.state().vars[0], cm.state().vars[1], "tick was visible");
+        assert_eq!(
+            (&tw.state().regs, &tw.state().wide_regs),
+            (&cm.state().regs, &cm.state().wide_regs)
+        );
+        assert_ne!(cm.state().var(0), cm.state().var(1), "tick was visible");
     }
 
     #[test]
@@ -1838,7 +1847,7 @@ mod tests {
         assert_eq!(text.matches("Add").count(), 1, "{text}");
         let mut cm = CompiledMachine::new(lower(&pb, default_pipeline()));
         cm.run_cycles(3, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(cm.state().vars[2].to_u64(), 0x22);
+        assert_eq!(cm.state().regs[2], 0x22);
         assert_lockstep(&pb, 3);
     }
 
@@ -1881,7 +1890,11 @@ mod tests {
         for passes in [&[][..], statement_pipeline(), default_pipeline()] {
             let mut cm = CompiledMachine::new(lower(&pb, passes));
             cm.run_cycles(4, &mut NullEnv, &mut NullObserver).unwrap();
-            assert_eq!(tw.state().vars, cm.state().vars, "passes = {passes:?}");
+            assert_eq!(
+                (&tw.state().regs, &tw.state().wide_regs),
+                (&cm.state().regs, &cm.state().wide_regs),
+                "passes = {passes:?}"
+            );
         }
     }
 
@@ -1936,7 +1949,7 @@ mod tests {
         assert_eq!(text.matches("Add").count(), 1, "{text}");
         let mut cm = CompiledMachine::new(lower(&pb, default_pipeline()));
         cm.run_cycles(3, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(cm.state().vars[1].to_u64(), 0, "0xff + 1 wraps to 0");
+        assert_eq!(cm.state().regs[1], 0, "0xff + 1 wraps to 0");
         assert_lockstep(&pb, 3);
     }
 
@@ -2162,6 +2175,6 @@ mod tests {
         // x must see the *stored* low byte.
         let mut cm = CompiledMachine::new(lower(&pb, default_pipeline()));
         cm.run_cycles(5, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(cm.state().vars[1].to_u64(), 0x1299);
+        assert_eq!(cm.state().regs[1], 0x1299);
     }
 }

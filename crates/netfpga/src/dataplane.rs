@@ -188,33 +188,44 @@ impl<B: ExecBackend> DataplaneDriver<B> {
 
     /// DMA-copies `frame` into the core's buffer and raises `rx_valid`.
     ///
-    /// Only the prefix up to the buffer's write high-water mark (or the
-    /// frame length, whichever is larger) is touched: slots beyond it are
-    /// already zero, because the driver zero-fills up to the mark and both
-    /// execution backends maintain [`kiwi_ir::interp::MachineState::arr_high`]
-    /// on every program-side store. This is what makes back-to-back
-    /// processing cheap — a 64 B frame through a 1536 B buffer writes 64
-    /// slots, not 1536.
+    /// The frame buffer is an 8-bit array, so its elements are plain
+    /// words in [`kiwi_ir::interp::MachineState::arrays`]: the DMA is a
+    /// copy of the frame bytes plus a zero-fill of `[len, arr_high)`.
+    /// Slots at or above the write high-water mark are already zero,
+    /// because every execution backend maintains
+    /// [`kiwi_ir::interp::MachineState::arr_high`] on every program-side
+    /// store; so a 64 B frame after a 1514 B one zeroes 1450 slots once,
+    /// and a 64 B frame after a 64 B one zeroes none.
     fn load_frame(&mut self, frame: &Frame, cap: usize) {
         let st = self.backend.machine_state_mut();
         let len = frame.len();
-        let fill = st.arr_high[self.ids.frame].max(len).min(cap);
+        let high = st.arr_high[self.ids.frame].min(cap);
         let buf = &mut st.arrays[self.ids.frame];
-        for (i, slot) in buf[..fill].iter_mut().enumerate() {
-            let byte = u64::from(frame.bytes().get(i).copied().unwrap_or(0));
-            // Skip slots that already hold the byte: consecutive frames
-            // share most header/padding bytes, so the DMA is mostly
-            // no-ops and the buffer stays untouched in cache.
-            if slot.width() != 8 || slot.to_u64() != byte {
-                *slot = Bits::from_u64(byte, 8);
-            }
+        for (slot, &byte) in buf[..len].iter_mut().zip(frame.bytes()) {
+            *slot = u64::from(byte);
         }
-        // The prefix [0, len) now holds frame bytes; everything above is
-        // zero again.
-        st.arr_high[self.ids.frame] = len.min(cap);
+        if high > len {
+            buf[len..high].fill(0);
+        }
+        st.arr_high[self.ids.frame] = len;
         st.sigs_in[self.ids.rx_valid] = Bits::from_u64(1, 1);
         st.sigs_in[self.ids.rx_len] = Bits::from_u64(len as u64, 16);
         st.sigs_in[self.ids.rx_port] = Bits::from_u64(u64::from(frame.in_port), 8);
+    }
+
+    /// The frame the core is transmitting: the first `tx_len` bytes of
+    /// the buffer (capped at its capacity), to the `tx_ports` bitmap.
+    fn tx_frame(&self, cap: usize) -> TxFrame {
+        let st = self.backend.machine_state();
+        let len = (st.sigs_out[self.ids.tx_len].to_u64() as usize).min(cap);
+        let bytes = st.arrays[self.ids.frame][..len]
+            .iter()
+            .map(|&b| b as u8)
+            .collect();
+        TxFrame {
+            ports: st.sigs_out[self.ids.tx_ports].to_u64() as u8,
+            frame: Frame::new(bytes),
+        }
     }
 
     /// Delivers `frame` to the core and runs until the core pulses
@@ -224,6 +235,21 @@ impl<B: ExecBackend> DataplaneDriver<B> {
         frame: &Frame,
         env: &mut dyn Env,
         obs: &mut dyn Observer,
+    ) -> IrResult<CoreOutput> {
+        self.run_frame(frame, env, |b, env| b.step(env, obs))
+    }
+
+    /// One frame through the cycle loop, advancing the core with `step`.
+    /// [`DataplaneDriver::process`] steps through the backend's
+    /// `dyn`-dispatched [`ExecBackend::step`]; the compiled backend's
+    /// batch path passes a monomorphized step instead. Both share every
+    /// other statement, so their outputs, cycle counts and error strings
+    /// are identical.
+    fn run_frame<E: Env + ?Sized>(
+        &mut self,
+        frame: &Frame,
+        env: &mut E,
+        mut step: impl FnMut(&mut B, &mut E) -> IrResult<()>,
     ) -> IrResult<CoreOutput> {
         let cap = self.frame_capacity();
         if frame.len() > cap {
@@ -255,7 +281,7 @@ impl<B: ExecBackend> DataplaneDriver<B> {
             if self.backend.is_halted() {
                 return Err(IrError("core halted while processing a frame".into()));
             }
-            self.backend.step(env, obs)?;
+            step(&mut self.backend, env)?;
 
             let (tx_now, done_now) = {
                 let st = self.backend.machine_state();
@@ -266,17 +292,7 @@ impl<B: ExecBackend> DataplaneDriver<B> {
             };
 
             if tx_now && !prev_tx {
-                let st = self.backend.machine_state();
-                let len = (st.sigs_out[self.ids.tx_len].to_u64() as usize).min(cap);
-                let ports = st.sigs_out[self.ids.tx_ports].to_u64() as u8;
-                let bytes: Vec<u8> = st.arrays[self.ids.frame][..len]
-                    .iter()
-                    .map(|b| b.to_u64() as u8)
-                    .collect();
-                tx.push(TxFrame {
-                    ports,
-                    frame: Frame::new(bytes),
-                });
+                tx.push(self.tx_frame(cap));
             }
             prev_tx = tx_now;
 
@@ -303,10 +319,11 @@ impl<B: ExecBackend> DataplaneDriver<B> {
 /// Observer`, so every core cycle pays virtual dispatch and the observer
 /// hooks survive as indirect calls even when the observer is
 /// [`NullObserver`]. This inherent impl on the *concrete* compiled
-/// backend carries a whole batch through a monomorphized copy of the
-/// same loop — `step_cycle_with::<E, NullObserver>` inlines the executor
-/// and compiles the observer hooks away entirely — which is what lets
-/// the engine's soak path amortize per-frame dispatch overhead.
+/// backend carries a whole batch through the same frame loop with a
+/// monomorphized step — `step_cycle_with::<E, NullObserver>` inlines the
+/// executor and compiles the observer hooks away entirely — which is
+/// what lets the engine's soak path amortize per-frame dispatch
+/// overhead.
 ///
 /// Frames execute sequentially, in order, against the same machine
 /// state and environment as N scalar [`DataplaneDriver::process`] calls
@@ -328,7 +345,9 @@ impl DataplaneDriver<kiwi_ir::CompiledMachine> {
     ) -> Vec<IrResult<CoreOutput>> {
         let mut out = Vec::with_capacity(frames.len());
         for frame in frames {
-            let r = self.process_compiled(frame, env);
+            let r = self.run_frame(frame, env, |b, env| {
+                b.step_cycle_with(env, &mut NullObserver)
+            });
             let failed = r.is_err();
             out.push(r);
             if failed {
@@ -336,81 +355,6 @@ impl DataplaneDriver<kiwi_ir::CompiledMachine> {
             }
         }
         out
-    }
-
-    /// One frame through the monomorphized cycle loop. Mirrors
-    /// [`DataplaneDriver::process`] statement for statement; only the
-    /// backend calls are concrete. Any semantic change there must land
-    /// here too (`batched_path_matches_scalar_path` in the equivalence
-    /// suite enforces this).
-    fn process_compiled<E: Env + ?Sized>(
-        &mut self,
-        frame: &Frame,
-        env: &mut E,
-    ) -> IrResult<CoreOutput> {
-        let cap = self.frame_capacity();
-        if frame.len() > cap {
-            return Err(IrError(format!(
-                "frame of {} B exceeds core buffer of {cap} B",
-                frame.len()
-            )));
-        }
-
-        env.frame_start();
-        self.load_frame(frame, cap);
-
-        let start_cycle = self.backend.cycle();
-        let mut tx = Vec::new();
-        let mut prev_tx = false;
-        let mut prev_done = false;
-
-        loop {
-            if self.backend.cycle() - start_cycle > self.max_cycles_per_frame {
-                return Err(IrError(format!(
-                    "core exceeded {} cycles on one frame",
-                    self.max_cycles_per_frame
-                )));
-            }
-            if self.backend.halted() {
-                return Err(IrError("core halted while processing a frame".into()));
-            }
-            self.backend.step_cycle_with(env, &mut NullObserver)?;
-
-            let (tx_now, done_now) = {
-                let st = self.backend.state();
-                (
-                    st.sigs_out[self.ids.tx_valid].to_bool(),
-                    st.sigs_out[self.ids.rx_done].to_bool(),
-                )
-            };
-
-            if tx_now && !prev_tx {
-                let st = self.backend.state();
-                let len = (st.sigs_out[self.ids.tx_len].to_u64() as usize).min(cap);
-                let ports = st.sigs_out[self.ids.tx_ports].to_u64() as u8;
-                let bytes: Vec<u8> = st.arrays[self.ids.frame][..len]
-                    .iter()
-                    .map(|b| b.to_u64() as u8)
-                    .collect();
-                tx.push(TxFrame {
-                    ports,
-                    frame: Frame::new(bytes),
-                });
-            }
-            prev_tx = tx_now;
-
-            if done_now && !prev_done {
-                let st = self.backend.state_mut();
-                st.sigs_in[self.ids.rx_valid] = Bits::from_u64(0, 1);
-                break;
-            }
-            prev_done = done_now;
-        }
-
-        Ok(CoreOutput {
-            tx,
-            cycles: self.backend.cycle() - start_cycle,
-        })
     }
 }
 
@@ -475,6 +419,120 @@ mod tests {
             let b = sw_drv.process(&f, &mut NullEnv, &mut NullObserver).unwrap();
             assert_eq!(a.tx, b.tx, "targets disagree at len {len}");
         }
+    }
+
+    /// A service that, like icmp's padded checksum loop, reads past the
+    /// frame: it ORs the 8 bytes at `[rx_len, rx_len + 8)` into `seen`,
+    /// dirties the slot at `rx_len + 8` for the next frame, and transmits
+    /// `rx_len + 8` bytes, so the reply carries the bytes above the frame.
+    fn pad_probe_program() -> (kiwi_ir::Program, u32) {
+        let mut pb = ProgramBuilder::new("pad_probe");
+        let dp = declare(&mut pb, 1536);
+        let i = pb.reg("i", 16);
+        let seen = pb.reg("seen", 8);
+        let end = add(sig(dp.rx_len), lit(8, 16));
+        pb.thread(
+            "main",
+            vec![forever(vec![
+                wait_until(sig(dp.rx_valid)),
+                assign(seen, lit(0, 8)),
+                assign(i, sig(dp.rx_len)),
+                while_loop(
+                    lt(var(i), end.clone()),
+                    vec![
+                        assign(seen, bor(var(seen), arr_read(dp.frame, var(i)))),
+                        assign(i, add(var(i), lit(1, 16))),
+                        pause(),
+                    ],
+                ),
+                arr_write(dp.frame, end.clone(), lit(0xaa, 8)),
+                sig_write(dp.tx_len, end),
+                sig_write(dp.tx_ports, lit(1, 8)),
+                sig_write(dp.tx_valid, tru()),
+                pause(),
+                sig_write(dp.tx_valid, fls()),
+                sig_write(dp.rx_done, tru()),
+                pause(),
+                sig_write(dp.rx_done, fls()),
+            ])],
+        );
+        (pb.build().unwrap(), seen.0)
+    }
+
+    /// Checks one frame's outcome: the program read zeroes above the
+    /// frame, and the reply is the frame followed by eight zero bytes.
+    fn assert_clean(label: &str, f: &Frame, out: &CoreOutput, seen: u64) {
+        let len = f.len();
+        assert_eq!(seen, 0, "{label}: stale byte read above len {len}");
+        assert_eq!(out.tx.len(), 1, "{label}");
+        let tx = out.tx[0].frame.bytes();
+        assert_eq!(&tx[..len], f.bytes(), "{label}: frame bytes at len {len}");
+        assert_eq!(&tx[len..], &[0u8; 8], "{label}: bytes above len {len}");
+    }
+
+    #[test]
+    fn large_then_small_frames_leave_no_stale_bytes() {
+        let (prog, seen) = pad_probe_program();
+        let frames: Vec<Frame> = [1514usize, 64, 594, 64]
+            .iter()
+            .map(|&len| Frame::new((0..len).map(|i| (i % 255) as u8 + 1).collect()))
+            .collect();
+        let seen_reg = |st: &kiwi_ir::MachineState| st.regs[seen as usize];
+
+        fn scalar<B: ExecBackend>(
+            mut drv: DataplaneDriver<B>,
+            frames: &[Frame],
+            label: &str,
+            seen_reg: impl Fn(&kiwi_ir::MachineState) -> u64,
+        ) -> Vec<Vec<TxFrame>> {
+            frames
+                .iter()
+                .map(|f| {
+                    let out = drv.process(f, &mut NullEnv, &mut NullObserver).unwrap();
+                    assert_clean(label, f, &out, seen_reg(drv.backend().machine_state()));
+                    out.tx
+                })
+                .collect()
+        }
+
+        let treewalk = scalar(
+            DataplaneDriver::new(Machine::new(kiwi_ir::flatten(&prog).unwrap())).unwrap(),
+            &frames,
+            "treewalk",
+            seen_reg,
+        );
+        let compiled = scalar(
+            DataplaneDriver::new(kiwi_ir::CompiledMachine::from_program(&prog).unwrap()).unwrap(),
+            &frames,
+            "compiled",
+            seen_reg,
+        );
+        let rtl = scalar(
+            DataplaneDriver::new(RtlMachine::new(kiwi::compile(&prog).unwrap())).unwrap(),
+            &frames,
+            "rtl",
+            seen_reg,
+        );
+
+        // Batched: one frame per call, so `seen` can be read after each.
+        let mut drv =
+            DataplaneDriver::new(kiwi_ir::CompiledMachine::from_program(&prog).unwrap()).unwrap();
+        let batched: Vec<Vec<TxFrame>> = frames
+            .iter()
+            .map(|f| {
+                let out = drv
+                    .process_batch(&[f], &mut NullEnv)
+                    .pop()
+                    .unwrap()
+                    .unwrap();
+                assert_clean("batched", f, &out, seen_reg(drv.backend().state()));
+                out.tx
+            })
+            .collect();
+
+        assert_eq!(treewalk, compiled, "treewalk vs compiled");
+        assert_eq!(treewalk, batched, "treewalk vs batched");
+        assert_eq!(treewalk, rtl, "treewalk vs rtl");
     }
 
     #[test]

@@ -269,23 +269,15 @@ impl RtlMachine {
             }
             match &thread.ops[pc] {
                 Op::Assign(dst, e) => {
-                    let w = self.fsm.prog.var(*dst).expect("validated").width;
-                    let v = eval(e, &self.fsm.prog, &self.state).resize(w);
-                    let old = self.state.vars[dst.0 as usize].clone();
-                    obs.on_assign(dst.0, &old, &v);
-                    self.state.vars[dst.0 as usize] = v;
+                    let v = eval(e, &self.fsm.prog, &self.state);
+                    self.state.assign(dst.0, &v, obs);
                     pc += 1;
                 }
                 Op::ArrWrite(arr, idx, val) => {
-                    let decl = self.fsm.prog.array(*arr).expect("validated");
-                    let w = decl.elem_width;
+                    let w = self.fsm.prog.array(*arr).expect("validated").elem_width;
                     let i = eval(idx, &self.fsm.prog, &self.state).to_u64() as usize;
-                    let v = eval(val, &self.fsm.prog, &self.state).resize(w);
-                    let data = &mut self.state.arrays[arr.0 as usize];
-                    if i < data.len() {
-                        data[i] = v;
-                        self.state.note_arr_write(arr.0 as usize, i);
-                    }
+                    let v = eval(val, &self.fsm.prog, &self.state);
+                    self.state.arr_write(arr.0, i, &v, w);
                     pc += 1;
                 }
                 Op::SigWrite(sig, e) => {
@@ -343,7 +335,7 @@ mod tests {
         );
         let mut m = rtl(&pb, CostModel::default());
         m.run_cycles(100, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(m.state().vars[0].to_u64(), 100);
+        assert_eq!(m.state().regs[0], 100);
         assert!((m.time_ns() - 500.0).abs() < 1e-9);
     }
 
@@ -384,8 +376,8 @@ mod tests {
         tight
             .run_cycles(1000, &mut NullEnv, &mut NullObserver)
             .unwrap();
-        assert_eq!(loose.state().vars[0].to_u64(), 30);
-        assert_eq!(tight.state().vars[0].to_u64(), 30);
+        assert_eq!(loose.state().regs[0], 30);
+        assert_eq!(tight.state().regs[0], 30);
         assert!(tight.cycle() > loose.cycle());
     }
 
@@ -429,9 +421,9 @@ mod tests {
         m.run_cycles(1000, &mut NullEnv, &mut NullObserver).unwrap();
 
         assert!(interp.halted() && m.halted());
-        assert_eq!(interp.state().vars[0], m.state().vars[0]);
-        assert_eq!(interp.state().vars[1], m.state().vars[1]);
-        assert_eq!(m.state().vars[1].to_u64(), 1_346_269); // fib(31)
+        assert_eq!(interp.state().var(0), m.state().var(0));
+        assert_eq!(interp.state().var(1), m.state().var(1));
+        assert_eq!(m.state().regs[1], 1_346_269); // fib(31)
     }
 
     #[test]
@@ -464,9 +456,7 @@ mod tests {
         );
         let mut m = rtl(&pb, CostModel::default());
         let at = m
-            .run_until(&mut NullEnv, &mut NullObserver, 1000, |st| {
-                st.vars[0].to_u64() == 42
-            })
+            .run_until(&mut NullEnv, &mut NullObserver, 1000, |st| st.regs[0] == 42)
             .unwrap();
         assert_eq!(at, Some(42));
     }

@@ -853,8 +853,8 @@ mod tests {
         env.attach(Box::new(CamModel::new("cam", 16, 48, 16, false)));
         m.run_cycles(10, &mut env, &mut NullObserver).unwrap();
         assert!(m.halted());
-        assert_eq!(m.state().vars[0].to_u64(), 1, "lookup must match");
-        assert_eq!(m.state().vars[1].to_u64(), 7);
+        assert_eq!(m.state().regs[0], 1, "lookup must match");
+        assert_eq!(m.state().regs[1], 7);
     }
 
     #[test]
@@ -883,7 +883,7 @@ mod tests {
         let mut env = IpEnv::new();
         env.attach(Box::new(CamModel::new("cam", 4, 48, 16, false)));
         m.run_cycles(10, &mut env, &mut NullObserver).unwrap();
-        assert_eq!(m.state().vars[0].to_u64(), 0);
+        assert_eq!(m.state().regs[0], 0);
     }
 
     #[test]
@@ -969,7 +969,7 @@ mod tests {
         m.run_cycles(40, &mut env, &mut NullObserver).unwrap();
         assert!(m.halted());
         let expect = emu_types::checksum::pearson8_seeded(0x5A, b"ab");
-        assert_eq!(m.state().vars[0].to_u64(), u64::from(expect));
+        assert_eq!(m.state().regs[0], u64::from(expect));
     }
 
     #[test]

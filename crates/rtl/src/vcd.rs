@@ -82,22 +82,22 @@ impl VcdTrace {
     pub fn sample(&mut self, cycle: u64, prog: &Program, st: &MachineState) {
         let mut stamp_written = false;
         for (slot, (id, width)) in self.ids.iter().enumerate() {
-            let v: &Bits = if slot < self.nvars {
-                &st.vars[slot]
+            let v: Bits = if slot < self.nvars {
+                st.var(slot as u32)
             } else {
                 let sidx = slot - self.nvars;
                 match prog.signals()[sidx].dir {
-                    kiwi_ir::SigDir::In => &st.sigs_in[sidx],
-                    kiwi_ir::SigDir::Out => &st.sigs_out[sidx],
+                    kiwi_ir::SigDir::In => st.sigs_in[sidx].clone(),
+                    kiwi_ir::SigDir::Out => st.sigs_out[sidx].clone(),
                 }
             };
-            if self.last[slot].as_ref() != Some(v) {
+            if self.last[slot].as_ref() != Some(&v) {
                 if !stamp_written {
                     let _ = writeln!(self.body, "#{cycle}");
                     stamp_written = true;
                 }
-                Self::emit_value(&mut self.body, id, *width, v);
-                self.last[slot] = Some(v.clone());
+                Self::emit_value(&mut self.body, id, *width, &v);
+                self.last[slot] = Some(v);
             }
         }
     }

@@ -75,8 +75,7 @@
 //!
 //! A shard whose program traps is poisoned and isolated while its
 //! siblings keep serving; every failure is an
-//! [`EngineError`](stdlib::EngineError) naming the shard. The full
-//! old-API → new-API migration table is in [`stdlib::engine`].
+//! [`EngineError`](stdlib::EngineError) naming the shard.
 //!
 //! The Mininet-analogue target takes the same engines via
 //! [`simnet::NetSim::add_service`], and
@@ -141,12 +140,15 @@
 //! target stays the golden reference for both. This is enforced by
 //! directed lockstep tests in `kiwi-ir`, random-program proptests across
 //! all three executions in `tests/backend_equiv.rs`, and the soak
-//! harness. Both backends also maintain the `arr_high` per-array
+//! harness. All three executions share one width-classed
+//! [`ir::interp::MachineState`]: registers and array elements of 64 bits
+//! or fewer are `u64` words (the 8-bit frame buffer included), wider
+//! ones are `Bits`. They also maintain the `arr_high` per-array
 //! high-water contract ([`ir::interp::MachineState::arr_high`]): after
 //! any run, `arr_high[a]` is one past the highest slot of array `a` that
-//! may differ from zero. Platform drivers rely on it to bound per-frame
-//! buffer re-initialization, so a backend that under-reports it corrupts
-//! frame data and one that never resets it forfeits the batch fast path.
+//! may differ from zero. Platform drivers rely on it to bound the
+//! per-frame zero-fill of the frame buffer above the new frame, so a
+//! backend that under-reports it leaks stale bytes into the next frame.
 //!
 //! ## Stateful tables at scale
 //!

@@ -29,7 +29,7 @@ use emu_types::Bits;
 use kiwi_ir::dsl::*;
 // `dsl::sig` would be shadowed by `sig: &Sig` parameters below.
 use kiwi_ir::dsl::sig as dsl_sig;
-use kiwi_ir::interp::{Env, Machine, MachineState, NullEnv, Observer};
+use kiwi_ir::interp::{Env, Machine, MachineState, NullEnv, Observer, RegValue};
 use kiwi_ir::program::{ArrId, ArrayBacking, Program, SigId, VarId};
 use kiwi_ir::{flatten, CompiledMachine, Expr, Stmt};
 use proptest::prelude::*;
@@ -77,7 +77,9 @@ impl Tape {
 /// The fixed declaration signature every generated program shares:
 /// registers and array elements span narrow, word-size, and wide (>64)
 /// widths so both the u64 fast path and the `Bits` limb path of the
-/// compiled backend are exercised.
+/// compiled backend are exercised. Registers of 64 and 65 bits and
+/// arrays of 1-, 8-, 64- and 96-bit elements sit on both sides of the
+/// machine state's `u64`/`Bits` storage-class boundary.
 struct Sig {
     regs: Vec<(VarId, u16)>,
     arrs: Vec<(ArrId, u16, u64)>,
@@ -87,7 +89,7 @@ struct Sig {
     ctrs: Vec<VarId>,
 }
 
-const REG_WIDTHS: [u16; 7] = [1, 8, 13, 32, 64, 80, 128];
+const REG_WIDTHS: [u16; 8] = [1, 8, 13, 32, 64, 65, 80, 128];
 
 fn declare(pb: &mut kiwi_ir::ProgramBuilder, threads: usize) -> Sig {
     let regs = REG_WIDTHS
@@ -98,6 +100,8 @@ fn declare(pb: &mut kiwi_ir::ProgramBuilder, threads: usize) -> Sig {
     let arrs = vec![
         (pb.array("mem8", 8, 16, ArrayBacking::LutRam), 8, 16),
         (pb.array("memw", 96, 4, ArrayBacking::BlockRam), 96, 4),
+        (pb.array("mem64", 64, 8, ArrayBacking::LutRam), 64, 8),
+        (pb.array("mem1", 1, 8, ArrayBacking::LutRam), 1, 8),
     ];
     let ins = vec![pb.sig_in("in_a", 32), pb.sig_in("in_b", 80)];
     let outs = vec![pb.sig_out("out_a", 24), pb.sig_out("out_b", 128)];
@@ -293,8 +297,8 @@ struct Trace {
 }
 
 impl Observer for Trace {
-    fn on_assign(&mut self, v: u32, old: &Bits, new: &Bits) {
-        self.assigns.push((v, old.clone(), new.clone()));
+    fn on_assign(&mut self, v: u32, old: RegValue<'_>, new: RegValue<'_>) {
+        self.assigns.push((v, old.to_bits(), new.to_bits()));
     }
     fn on_label(&mut self, n: &str) {
         self.labels.push(n.into());
@@ -307,8 +311,13 @@ impl Observer for Trace {
 /// Asserts two machine states are identical in every field a backend
 /// can influence.
 fn assert_state_eq(label: &str, a: &MachineState, b: &MachineState) {
-    assert_eq!(a.vars, b.vars, "{label}: registers diverged");
+    assert_eq!(a.regs, b.regs, "{label}: registers diverged");
+    assert_eq!(a.wide_regs, b.wide_regs, "{label}: wide registers diverged");
     assert_eq!(a.arrays, b.arrays, "{label}: arrays diverged");
+    assert_eq!(
+        a.wide_arrays, b.wide_arrays,
+        "{label}: wide arrays diverged"
+    );
     assert_eq!(a.sigs_out, b.sigs_out, "{label}: output signals diverged");
     assert_eq!(a.arr_high, b.arr_high, "{label}: arr_high marks diverged");
 }

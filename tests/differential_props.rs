@@ -99,7 +99,7 @@ proptest! {
         prop_assert!(interp.halted() && rtl.halted());
         for i in 0..3 {
             prop_assert_eq!(
-                &interp.state().vars[i], &rtl.state().vars[i],
+                interp.state().var(i), rtl.state().var(i),
                 "register {} diverged", i
             );
         }
